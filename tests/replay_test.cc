@@ -122,6 +122,17 @@ TEST(ReplayTest, TranscriptIsBitIdenticalAcrossTopologies) {
   }
 }
 
+// Absolute pin of QuickMix()'s folded transcript. The topology tests above
+// only compare lanes against each other; this one fails when any solver's
+// result bits move (every kind is in the mix), so bit-identity of a solver
+// rewrite is a tier-1 check, not only a soak-bench one.
+TEST(ReplayTest, TranscriptMatchesPinnedHash) {
+  for (uint64_t k : QuickMix().kind_jobs) EXPECT_GT(k, 0u);
+  const auto run = ReplayOn(1, 1, /*batch=*/false);
+  EXPECT_EQ(run.jobs_failed, 0u);
+  EXPECT_EQ(run.transcript_hash, 13246238388641736894ull);
+}
+
 TEST(ReplayTest, BatchSubmitMatchesPerJobSubmit) {
   const auto reference = ReplayOn(1, 1, /*batch=*/false);
   for (size_t shards : {1, 4}) {
