@@ -5,9 +5,13 @@
 #include <benchmark/benchmark.h>
 
 #include <span>
+#include <vector>
 
+#include "src/problems/chebyshev_center.h"
+#include "src/problems/enclosing_annulus.h"
 #include "src/problems/linear_program.h"
 #include "src/problems/linear_svm.h"
+#include "src/problems/linf_regression.h"
 #include "src/problems/min_enclosing_ball.h"
 #include "src/solvers/coreset_meb.h"
 #include "src/util/rng.h"
@@ -36,6 +40,49 @@ BENCHMARK(BM_LpBasisSolve)
     ->Args({10000, 2})
     ->Args({10000, 4})
     ->Args({10000, 6})
+    ->Unit(benchmark::kMicrosecond);
+
+// The lifted LexLp solves behind the annulus, L-infinity and Chebyshev kinds
+// (2n, 2n and n rows of dimension d+2, d+1, d+1) at the request sizes the
+// replay mix serves. Warm, repeated, reported as aggregates (read the
+// median); report-only, no baseline entry.
+void BM_LiftedLexSolve(benchmark::State& state) {
+  const int kind = static_cast<int>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  const size_t d = static_cast<size_t>(state.range(2));
+  Rng rng(0xEC);
+  const auto points = workload::GaussianCloud(n, d, &rng);
+  const auto data = workload::RandomRegressionData(n, d, 0.5, &rng);
+  std::vector<RegressionPoint> samples;
+  for (size_t j = 0; j < n; ++j) samples.push_back({data.x[j], data.y[j]});
+  const auto polytope = workload::RandomFeasibleLp(n, d, &rng);
+  const EnclosingAnnulus annulus(d);
+  const LinfRegression linf(d);
+  const ChebyshevCenter chebyshev(d);
+  for (auto _ : state) {
+    switch (kind) {
+      case 0:
+        benchmark::DoNotOptimize(annulus.SolveValue(points));
+        break;
+      case 1:
+        benchmark::DoNotOptimize(linf.SolveValue(samples));
+        break;
+      default:
+        benchmark::DoNotOptimize(chebyshev.SolveValue(polytope.constraints));
+        break;
+    }
+  }
+  static const char* const kNames[] = {"annulus", "linf", "chebyshev"};
+  state.SetLabel(kNames[kind]);
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
+BENCHMARK(BM_LiftedLexSolve)
+    ->ArgNames({"kind", "n", "d"})
+    ->ArgsProduct({{0, 1, 2}, {48, 96, 192, 384}, {2, 3}})
+    ->MinWarmUpTime(0.05)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_LpViolationScan(benchmark::State& state) {

@@ -13,13 +13,6 @@ ChebyshevCenter::ChebyshevCenter(size_t dim, SolverConfig config)
   objective_[dim_] = -1.0;  // max r == min -r.
 }
 
-ChebyshevCenter::Constraint ChebyshevCenter::Lift(const Constraint& c) const {
-  Vec normal(dim_ + 1);
-  for (size_t d = 0; d < dim_; ++d) normal[d] = c.a[d];
-  normal[dim_] = RowScale(c);
-  return Constraint(std::move(normal), c.b);
-}
-
 double ChebyshevCenter::LiftedSlack(const Value& v, const Constraint& c) const {
   // Kernel order (ScanOp::kHalfspace over the lifted mirror): dot across
   // the d normal columns ascending, then the ||a|| column, then b - acc.
@@ -70,10 +63,18 @@ bool ChebyshevCenter::Violates(const Value& value, const Constraint& c) const {
 
 ChebyshevCenter::Value ChebyshevCenter::SolveValue(
     std::span<const Constraint> constraints) const {
-  std::vector<Constraint> lifted;
-  lifted.reserve(constraints.size());
-  for (const Constraint& c : constraints) lifted.push_back(Lift(c));
-  return ValueFromSolution(solver_.Solve(lifted, objective_));
+  // Lifted rows [a, ||a||, b] over z = (x, r), written straight into flat
+  // rows of stride dim+2 (seidel.h).
+  const size_t stride = dim_ + 2;
+  std::vector<double> rows(constraints.size() * stride);
+  double* row = rows.data();
+  for (const Constraint& c : constraints) {
+    for (size_t d = 0; d < dim_; ++d) row[d] = c.a[d];
+    row[dim_] = RowScale(c);
+    row[dim_ + 1] = c.b;
+    row += stride;
+  }
+  return ValueFromSolution(solver_.SolveRows(rows, objective_));
 }
 
 BasisResult<ChebyshevCenter::Value, ChebyshevCenter::Constraint>

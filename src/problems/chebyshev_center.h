@@ -75,8 +75,6 @@ class ChebyshevCenter {
   }
 
  private:
-  /// The halfspace a.x + ||a|| r <= b over z = (x, r).
-  Constraint Lift(const Constraint& c) const;
   /// Signed slack of the lifted constraint at (center, radius), accumulated
   /// in exactly the kHalfspace kernel's order.
   double LiftedSlack(const Value& v, const Constraint& c) const;

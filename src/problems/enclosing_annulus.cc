@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/geometry/halfspace.h"
 #include "src/util/logging.h"
 
 namespace lplow {
@@ -64,23 +63,25 @@ EnclosingAnnulus::Value EnclosingAnnulus::SolveValue(
   if (constraints.empty()) return v;
   v.empty = false;
   // Lifted LP over z = (c, u, l): each point contributes the outer bound
-  // -2p.c - u <= -||p||^2 and the inner bound 2p.c + l <= ||p||^2.
-  std::vector<Halfspace> lifted;
-  lifted.reserve(2 * constraints.size());
+  // -2p.c - u <= -||p||^2 and the inner bound 2p.c + l <= ||p||^2, written
+  // straight into flat rows of stride dim+3 (seidel.h).
+  const size_t stride = dim_ + 3;
+  std::vector<double> rows(2 * constraints.size() * stride);
+  double* outer = rows.data();
   for (const Constraint& p : constraints) {
     const double nsq = PointNormSq(p);
-    Vec outer(dim_ + 2);
-    Vec inner(dim_ + 2);
+    double* inner = outer + stride;
     for (size_t d = 0; d < dim_; ++d) {
       outer[d] = -2.0 * p[d];
       inner[d] = 2.0 * p[d];
     }
     outer[dim_] = -1.0;
+    outer[dim_ + 2] = -nsq;
     inner[dim_ + 1] = 1.0;
-    lifted.emplace_back(std::move(outer), -nsq);
-    lifted.emplace_back(std::move(inner), nsq);
+    inner[dim_ + 2] = nsq;
+    outer += 2 * stride;
   }
-  LpSolution sol = solver_.Solve(lifted, objective_);
+  LpSolution sol = solver_.SolveRows(rows, objective_);
   if (!sol.optimal()) {
     v.feasible = false;
     return v;

@@ -117,18 +117,13 @@ LinearProgram::RepairLoop(std::vector<Constraint> t,
 
 LinearProgram::Value LinearProgram::SolveValue(
     std::span<const Constraint> constraints) const {
-  std::vector<Constraint> all(constraints.begin(), constraints.end());
-  return ValueFromSolution(solver_.Solve(all, objective_));
+  return ValueFromSolution(solver_.Solve(constraints, objective_));
 }
 
 BasisResult<LinearProgram::Value, LinearProgram::Constraint>
 LinearProgram::SolveBasis(std::span<const Constraint> constraints) const {
-  if (constraints.empty()) {
-    LpSolution sol = solver_.Solve({}, objective_);
-    return {ValueFromSolution(sol), {}};
-  }
-  std::vector<Constraint> all(constraints.begin(), constraints.end());
-  LpSolution sol = solver_.Solve(all, objective_);
+  LpSolution sol = solver_.Solve(constraints, objective_);
+  if (constraints.empty()) return {ValueFromSolution(sol), {}};
   if (!sol.optimal()) {
     // Infeasible input: grow a core incrementally (cheaper than pruning the
     // full set).
@@ -139,7 +134,7 @@ LinearProgram::SolveBasis(std::span<const Constraint> constraints) const {
   // pruning cheap on with-replacement samples). The threshold scales with
   // the constraint magnitude: slack drift is relative.
   std::vector<Constraint> tight;
-  for (const Constraint& h : all) {
+  for (const Constraint& h : constraints) {
     if (std::fabs(h.Slack(sol.point)) <=
         config_.tight_tol * std::max(1.0, std::fabs(h.b))) {
       bool dup = false;

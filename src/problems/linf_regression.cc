@@ -53,22 +53,24 @@ LinfRegression::Value LinfRegression::SolveValue(
   if (constraints.empty()) return v;
   v.empty = false;
   // Lifted LP over z = (w, t): each sample contributes
-  //   w.x - t <= y   and   -w.x - t <= -y.
-  std::vector<Halfspace> lifted;
-  lifted.reserve(2 * constraints.size());
+  //   w.x - t <= y   and   -w.x - t <= -y,
+  // written straight into flat rows of stride dim+2 (seidel.h).
+  const size_t stride = dim_ + 2;
+  std::vector<double> rows(2 * constraints.size() * stride);
+  double* up = rows.data();
   for (const Constraint& c : constraints) {
-    Vec up(dim_ + 1);
-    Vec down(dim_ + 1);
+    double* down = up + stride;
     for (size_t d = 0; d < dim_; ++d) {
       up[d] = c.x[d];
       down[d] = -c.x[d];
     }
     up[dim_] = -1.0;
     down[dim_] = -1.0;
-    lifted.emplace_back(std::move(up), c.y);
-    lifted.emplace_back(std::move(down), -c.y);
+    up[dim_ + 1] = c.y;
+    down[dim_ + 1] = -c.y;
+    up += 2 * stride;
   }
-  LpSolution sol = solver_.Solve(lifted, objective_);
+  LpSolution sol = solver_.SolveRows(rows, objective_);
   if (!sol.optimal()) {
     v.feasible = false;
     return v;

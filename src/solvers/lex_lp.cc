@@ -1,33 +1,59 @@
 #include "src/solvers/lex_lp.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/util/logging.h"
 
 namespace lplow {
 
-LpSolution LexLpSolver::Solve(const std::vector<Halfspace>& constraints,
+LpSolution LexLpSolver::Solve(std::span<const Halfspace> constraints,
                               const Vec& objective) const {
+  std::vector<double> rows;
+  AppendRows(constraints, objective.dim(), &rows);
+  return SolveRows(rows, objective);
+}
+
+LpSolution LexLpSolver::SolveRows(std::span<const double> rows,
+                                  const Vec& objective) const {
   const size_t d = objective.dim();
-  LpSolution first = seidel_.Solve(constraints, objective);
+  const size_t stride = d + 1;
+  LPLOW_CHECK_EQ(rows.size() % stride, 0u);
+  // [base | work]: the input plus one phase-fixing row per phase, and the
+  // copy each phase shuffles.
+  const size_t capacity = rows.size() + (d + 1) * stride;
+  std::vector<double> buffer(2 * capacity);
+  double* base = buffer.data();
+  double* work = base + capacity;
+  std::copy(rows.begin(), rows.end(), base);
+  size_t base_size = rows.size();
+  std::vector<double> scratch;
+  auto solve_phase = [&](const Vec& c) {
+    std::memcpy(work, base, base_size * sizeof(double));
+    return seidel_.SolveRows(std::span<double>(work, base_size), c, &scratch);
+  };
+  auto append_row = [&](const Vec& a, double b) {
+    std::copy(a.data().begin(), a.data().end(), base + base_size);
+    base[base_size + d] = b;
+    base_size += stride;
+  };
+
+  LpSolution first = solve_phase(objective);
   if (!first.optimal()) return first;
 
-  // Work on an augmented copy; each phase appends one upper-bound constraint.
-  std::vector<Halfspace> augmented = constraints;
-  augmented.reserve(constraints.size() + d + 1);
   // Fix the objective: c.x <= obj* (+ slack scaled to the value magnitude,
   // absorbing re-solve drift).
   auto slack_for = [&](double value) {
     return config_.lex_slack * std::max(1.0, std::fabs(value));
   };
-  augmented.emplace_back(objective,
-                         first.objective + slack_for(first.objective));
+  append_row(objective, first.objective + slack_for(first.objective));
 
   Vec x = first.point;
   for (size_t i = 0; i < d; ++i) {
     Vec e(d);
     e[i] = 1.0;
-    LpSolution phase = seidel_.Solve(augmented, e);
+    LpSolution phase = solve_phase(e);
     if (!phase.optimal()) {
       // Numerically possible when drift exceeds the slack; keep the best
       // point so far — still an optimum, just with weaker tie-breaking.
@@ -35,7 +61,7 @@ LpSolution LexLpSolver::Solve(const std::vector<Halfspace>& constraints,
       break;
     }
     x = phase.point;
-    augmented.emplace_back(e, phase.point[i] + slack_for(phase.point[i]));
+    append_row(e, phase.point[i] + slack_for(phase.point[i]));
   }
   return LpSolution::Optimal(x, objective.Dot(x));
 }

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/solvers/vertex_enum.h"
 #include "src/util/rng.h"
 #include "src/workload/generators.h"
+#include "tests/reference_seidel.h"
 
 namespace lplow {
 namespace {
@@ -137,6 +141,107 @@ TEST(SeidelTest, LargeInstanceLinearishTime) {
   for (const auto& h : inst.constraints) {
     EXPECT_GE(h.Slack(s.point), -1e-6);
   }
+}
+
+// --- Bit-exact oracle: the flat, arena-backed solver against the by-value
+// recursion it replaced (tests/reference_seidel.h).
+
+void ExpectMatchesReference(const std::vector<Halfspace>& constraints,
+                            const Vec& objective, const std::string& what,
+                            SolverConfig cfg = {}) {
+  LpSolution want = reference::SeidelSolver(cfg).Solve(constraints, objective);
+  LpSolution got = SeidelSolver(cfg).Solve(constraints, objective);
+  reference::ExpectBitIdentical(got, want, what);
+}
+
+// Exact duplicates, the same hyperplane scaled by 2, and looser parallels
+// of every third row, shuffled in.
+std::vector<Halfspace> WithDuplicatesAndParallels(
+    const std::vector<Halfspace>& cs, Rng* rng) {
+  std::vector<Halfspace> out = cs;
+  for (size_t i = 0; i < cs.size(); i += 3) {
+    out.push_back(cs[i]);
+    out.emplace_back(cs[i].a * 2.0, cs[i].b * 2.0);
+    out.emplace_back(cs[i].a, cs[i].b + 1.0);
+  }
+  rng->Shuffle(&out);
+  return out;
+}
+
+TEST(SeidelOracleTest, RandomFeasibleLpsAreBitIdentical) {
+  for (size_t d = 1; d <= 6; ++d) {
+    for (size_t m : {1, 9, 120, 2000}) {
+      Rng rng(1000 * d + m);
+      auto inst = workload::RandomFeasibleLp(m, d, &rng);
+      const std::string what =
+          "d=" + std::to_string(d) + " m=" + std::to_string(m);
+      ExpectMatchesReference(inst.constraints, inst.objective, what);
+      ExpectMatchesReference(WithDuplicatesAndParallels(inst.constraints,
+                                                        &rng),
+                             inst.objective, what + " +dup/parallel");
+    }
+  }
+}
+
+TEST(SeidelOracleTest, InfeasibleLpsAreBitIdentical) {
+  for (size_t d = 1; d <= 6; ++d) {
+    for (size_t m : {2, 40, 600}) {
+      Rng rng(7000 + 100 * d + m);
+      auto inst = workload::RandomInfeasibleLp(m, d, &rng);
+      ASSERT_EQ(SeidelSolver().Solve(inst.constraints, inst.objective).status,
+                LpStatus::kInfeasible);
+      ExpectMatchesReference(
+          inst.constraints, inst.objective,
+          "infeasible d=" + std::to_string(d) + " m=" + std::to_string(m));
+    }
+  }
+  // A zero normal with a negative offset, alone and among feasible rows.
+  for (size_t d = 1; d <= 4; ++d) {
+    Rng rng(7100 + d);
+    auto inst = workload::RandomFeasibleLp(30, d, &rng);
+    inst.constraints.emplace_back(Vec(d), -1.0);
+    ExpectMatchesReference(inst.constraints, inst.objective,
+                           "zero-normal d=" + std::to_string(d));
+  }
+}
+
+TEST(SeidelOracleTest, BoxTouchingAndDegenerateOptimaAreBitIdentical) {
+  SolverConfig small_box;
+  small_box.box_bound = 50;  // Cuts the radius-100 generator's polytopes.
+  size_t box_touching = 0;
+  for (size_t d = 1; d <= 6; ++d) {
+    const std::string dim = "d=" + std::to_string(d);
+    Rng rng(9000 + d);
+    // No rows at all: the box corner.
+    ExpectMatchesReference({}, workload::RandomFeasibleLp(1, d, &rng).objective,
+                           dim + " empty");
+    // Fewer rows than dimensions: the optimum sits on the box.
+    for (size_t m = 1; m <= 3; ++m) {
+      auto inst = workload::RandomFeasibleLp(m, d, &rng);
+      ExpectMatchesReference(inst.constraints, inst.objective,
+                             dim + " m=" + std::to_string(m));
+      LpSolution s = SeidelSolver().Solve(inst.constraints, inst.objective);
+      for (size_t i = 0; i < d; ++i) {
+        if (std::fabs(s.point[i]) == SolverConfig{}.box_bound) {
+          ++box_touching;
+          break;
+        }
+      }
+    }
+    auto inst = workload::RandomFeasibleLp(200, d, &rng);
+    ExpectMatchesReference(inst.constraints, inst.objective,
+                           dim + " small box", small_box);
+    // Zero objective components tie whole faces.
+    Vec partial = inst.objective;
+    for (size_t i = 0; i < d; i += 2) partial[i] = 0.0;
+    ExpectMatchesReference(inst.constraints, partial, dim + " zero c_i");
+    ExpectMatchesReference(inst.constraints, Vec(d), dim + " c = 0");
+    // Feasible zero-normal rows are skipped.
+    inst.constraints.emplace_back(Vec(d), 1.0);
+    ExpectMatchesReference(inst.constraints, inst.objective,
+                           dim + " feasible zero-normal");
+  }
+  EXPECT_GT(box_touching, 0u);
 }
 
 }  // namespace
