@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <span>
 
 #include "src/core/lp_type.h"
@@ -280,6 +281,224 @@ TEST(LpTypeTest, SerializationRoundTripAllProblems) {
     ASSERT_TRUE(p2.ok());
     EXPECT_TRUE(p2->ApproxEquals(p, 0));
   }
+}
+
+// ----------------------------------------------------- pinned basis bits
+//
+// FNV-1a over the exact bits of SolveBasis's value and basis (members,
+// order, multiplicity) for all six kinds, over seeded families that reach
+// every branch of the basis step: the tight/support path with exact-repeat
+// removal, the empty-support fallbacks, the infeasible-core prune (annulus
+// and L-inf beyond the solver box) and the grow-by-most-violated repair
+// (infeasible LP and Chebyshev, non-separable SVM). Captured before the six
+// problems' basis extraction moved into the shared lp_type.h routines: a
+// refactor of that step must leave every hash where it is.
+
+void PutVec(const Vec& v, BitWriter* w) {
+  w->PutU32(static_cast<uint32_t>(v.dim()));
+  for (size_t i = 0; i < v.dim(); ++i) w->PutDouble(v[i]);
+}
+
+void PutValue(const LinearProgram::Value& v, BitWriter* w) {
+  w->PutU8(v.feasible);
+  PutVec(v.point, w);
+  w->PutDouble(v.objective);
+}
+void PutValue(const ChebyshevCenter::Value& v, BitWriter* w) {
+  w->PutU8(v.feasible);
+  PutVec(v.center, w);
+  w->PutDouble(v.radius);
+}
+void PutValue(const LinearSvm::Value& v, BitWriter* w) {
+  w->PutU8(v.separable);
+  w->PutDouble(v.norm_squared);
+  PutVec(v.u, w);
+}
+void PutValue(const MinEnclosingBall::Value& v, BitWriter* w) {
+  PutVec(v.ball.center, w);
+  w->PutDouble(v.ball.radius);
+}
+void PutValue(const LinfRegression::Value& v, BitWriter* w) {
+  w->PutU8(v.empty);
+  w->PutU8(v.feasible);
+  PutVec(v.w, w);
+  w->PutDouble(v.t);
+}
+void PutValue(const EnclosingAnnulus::Value& v, BitWriter* w) {
+  w->PutU8(v.empty);
+  w->PutU8(v.feasible);
+  PutVec(v.center, w);
+  w->PutDouble(v.u);
+  w->PutDouble(v.l);
+}
+
+/// Appends the bits of SolveBasis(cs) to `w`.
+template <LpTypeProblem P>
+void FoldBasis(const P& problem,
+               const std::vector<typename P::Constraint>& cs, BitWriter* w) {
+  auto r = problem.SolveBasis(std::span<const typename P::Constraint>(cs));
+  PutValue(r.value, w);
+  w->PutU32(static_cast<uint32_t>(r.basis.size()));
+  for (const auto& c : r.basis) problem.SerializeConstraint(c, w);
+}
+
+/// `m` draws with replacement from the first `k` members of `s`: a
+/// with-replacement sample full of exact repeats.
+template <typename C>
+std::vector<C> Redraw(const std::vector<C>& s, size_t k, size_t m, Rng* rng) {
+  std::vector<C> out;
+  for (size_t i = 0; i < m; ++i) {
+    out.push_back(s[rng->UniformIndex(std::min(k, s.size()))]);
+  }
+  return out;
+}
+
+/// The shared tail of every family: the full set, a with-replacement
+/// redraw, a single constraint and the empty set.
+template <LpTypeProblem P>
+void FoldCommon(const P& problem,
+                const std::vector<typename P::Constraint>& cs, Rng* rng,
+                BitWriter* w) {
+  FoldBasis(problem, cs, w);
+  FoldBasis(problem, Redraw(cs, 12, 3 * cs.size(), rng), w);
+  FoldBasis(problem, {cs[0]}, w);
+  FoldBasis(problem, {}, w);
+}
+
+uint64_t LpBasisBits() {
+  BitWriter w;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const size_t d = 2 + seed % 3;
+    auto feas = workload::RandomFeasibleLp(30, d, &rng);
+    LinearProgram lp(feas.objective);
+    FoldCommon(lp, feas.constraints, &rng, &w);
+    auto inf = workload::RandomInfeasibleLp(20, d, &rng);
+    LinearProgram lp_inf(inf.objective);
+    FoldCommon(lp_inf, inf.constraints, &rng, &w);
+    FoldBasis(lp_inf, Redraw(inf.constraints, 20, 60, &rng), &w);
+    // Halfspaces beyond the solver box: the optimum is box-determined and
+    // nothing is tight.
+    std::vector<Halfspace> loose;
+    for (size_t i = 0; i < d; ++i) {
+      Vec a(d);
+      a[i] = 1.0;
+      loose.emplace_back(std::move(a), 3e7);
+    }
+    FoldBasis(lp, loose, &w);
+  }
+  return testing_util::Fnv1a(w.Release());
+}
+
+uint64_t ChebyshevBasisBits() {
+  BitWriter w;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const size_t d = 2 + seed % 3;
+    auto c = testing_util::MakeChebyshevCase(30, d, seed * 977 + 5);
+    FoldCommon(c.problem, c.constraints, &rng, &w);
+    // 0.x <= -1 makes the lifted LP infeasible: the repair path.
+    auto bad = c.constraints;
+    bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(seed % 7),
+               Halfspace(Vec(d), -1.0));
+    FoldCommon(c.problem, bad, &rng, &w);
+    FoldBasis(c.problem, Redraw(bad, bad.size(), 60, &rng), &w);
+    // Halfspaces beyond the solver box: the ball is box-determined.
+    std::vector<Halfspace> loose;
+    for (size_t i = 0; i < d; ++i) {
+      Vec a(d);
+      a[i] = 1.0;
+      loose.emplace_back(std::move(a), 3e7);
+    }
+    FoldBasis(c.problem, loose, &w);
+  }
+  // Raw random LP halfspaces at d = 4: the tight set does not reproduce the
+  // value, so the basis is rebuilt by the repair loop.
+  Rng rng(33);
+  FoldBasis(ChebyshevCenter(4),
+            workload::RandomFeasibleLp(60, 4, &rng).constraints, &w);
+  return testing_util::Fnv1a(w.Release());
+}
+
+uint64_t SvmBasisBits() {
+  BitWriter w;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const size_t d = 2 + seed % 2;
+    LinearSvm svm(d);
+    // n <= 12 takes the exact small solve, n > 12 the iterative one.
+    FoldCommon(svm, workload::SeparableSvmData(10, d, 0.6, &rng), &rng, &w);
+    FoldCommon(svm, workload::SeparableSvmData(25, d, 0.6, &rng), &rng, &w);
+    FoldCommon(svm, workload::NonSeparableSvmData(40, d, &rng), &rng, &w);
+  }
+  // Support ties stall the iterative solve: the support set does not
+  // reproduce the value and is returned as it stands.
+  Rng rng(26);
+  FoldBasis(LinearSvm(3), workload::SeparableSvmData(40, 3, 0.6, &rng), &w);
+  return testing_util::Fnv1a(w.Release());
+}
+
+uint64_t MebBasisBits() {
+  BitWriter w;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const size_t d = 2 + seed % 3;
+    MinEnclosingBall meb(d);
+    auto pts = workload::GaussianCloud(30, d, &rng);
+    FoldCommon(meb, pts, &rng, &w);
+    FoldBasis(meb, {pts[1], pts[1], pts[1]}, &w);
+  }
+  return testing_util::Fnv1a(w.Release());
+}
+
+uint64_t LinfBasisBits() {
+  BitWriter w;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const size_t d = 2 + seed % 3;
+    auto c = testing_util::MakeLinfRegressionCase(28, d, seed * 977 + 7);
+    FoldCommon(c.problem, c.points, &rng, &w);
+    // A target far beyond what a boxed w can fit: the infeasible prune.
+    auto bad = c.points;
+    RegressionPoint far;
+    far.x = Vec(d, 1e-3);
+    far.y = 1e12;
+    bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(seed % 5), far);
+    FoldCommon(c.problem, bad, &rng, &w);
+  }
+  return testing_util::Fnv1a(w.Release());
+}
+
+uint64_t AnnulusBasisBits() {
+  BitWriter w;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const size_t d = 2 + seed % 2;
+    auto c = testing_util::MakeAnnulusCase(30, d, seed * 977 + 9);
+    FoldCommon(c.problem, c.points, &rng, &w);
+    // Points far beyond the solver box: the infeasible prune.
+    auto bad = c.points;
+    for (double sign : {+1.0, -1.0}) {
+      Vec p(d);
+      p[0] = sign * 1e9;
+      bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(seed % 5), p);
+    }
+    FoldCommon(c.problem, bad, &rng, &w);
+  }
+  // A Gaussian cloud at d = 4 whose support set does not reproduce the
+  // value: returned as it stands.
+  Rng rng(9);
+  FoldBasis(EnclosingAnnulus(4), workload::GaussianCloud(40, 4, &rng), &w);
+  return testing_util::Fnv1a(w.Release());
+}
+
+TEST(BasisBitsTest, SolveBasisMatchesPinnedHashes) {
+  EXPECT_EQ(LpBasisBits(), 16492877858357566737ull);
+  EXPECT_EQ(ChebyshevBasisBits(), 8429459112461347690ull);
+  EXPECT_EQ(SvmBasisBits(), 16688680678596416905ull);
+  EXPECT_EQ(MebBasisBits(), 16027859449129690876ull);
+  EXPECT_EQ(LinfBasisBits(), 13962244012059573149ull);
+  EXPECT_EQ(AnnulusBasisBits(), 2616757489141840462ull);
 }
 
 }  // namespace
