@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/util/bit_stream.h"
+#include "src/util/logging.h"
 #include "src/util/status.h"
 
 namespace lplow {
@@ -72,11 +73,20 @@ concept LpTypeProblem = requires(const P& p,
 };
 // clang-format on
 
-/// Shared helper: greedily prunes `candidate` down to a minimal subset whose
-/// f equals `target` (used by the problems' basis extraction). Performs
-/// O(|candidate|) SolveValue calls on shrinking sets. Does not require P to
-/// satisfy the full concept (it is used while defining problem classes).
-template <typename P>
+// ------------------------------------------------ shared basis extraction
+//
+// Every problem's SolveBasis is built from the routines below. A problem
+// supplies only what is its own: its support (tightness) predicate, the
+// exact-repeat test of its constraint type, and, where it repairs by
+// growth, its violation depth (a signed slack) and step cap. The routines
+// use nothing of P beyond the concept.
+
+/// Greedily prunes `candidate` down to a minimal subset whose f equals
+/// `target`, trying removals in order. O(|candidate|) SolveValue calls on
+/// shrinking sets. With `target` the problem's infeasible value this is the
+/// infeasible-core prune: CompareValues(x, infeasible) == 0 iff x is
+/// infeasible.
+template <LpTypeProblem P>
 std::vector<typename P::Constraint> GreedyMinimizeBasis(
     const P& problem, std::vector<typename P::Constraint> candidate,
     const typename P::Value& target) {
@@ -96,6 +106,130 @@ std::vector<typename P::Constraint> GreedyMinimizeBasis(
     }
   }
   return candidate;
+}
+
+/// Result of MinimizeSupport. `basis` is the minimal basis when `minimal`,
+/// otherwise the support set as collected. It is empty only when the
+/// support set is, or when f(empty) already equals the value.
+template <LpTypeProblem P>
+struct SupportBasis {
+  std::vector<typename P::Constraint> basis;
+  bool minimal;
+};
+
+/// The support step of SolveBasis on a feasible `value`: collects, in
+/// input order, the members c of `candidates` with `in_support(value, c)`,
+/// dropping each exact repeat (`same(kept, c)`) of one already kept, so the
+/// prune stays cheap on with-replacement samples. An empty support is
+/// returned as is. A nonempty one must reproduce `value` under SolveValue;
+/// if numerical drift broke that, it is returned unminimised with
+/// `minimal == false` and the caller picks its fallback. Otherwise it is
+/// pruned by GreedyMinimizeBasis.
+template <LpTypeProblem P, typename InSupport, typename Same>
+SupportBasis<P> MinimizeSupport(
+    const P& problem, const typename P::Value& value,
+    std::span<const typename P::Constraint> candidates, InSupport in_support,
+    Same same) {
+  using Constraint = typename P::Constraint;
+  std::vector<Constraint> support;
+  for (const Constraint& c : candidates) {
+    if (!in_support(value, c)) continue;
+    bool repeat = false;
+    for (const Constraint& kept : support) {
+      if (same(kept, c)) {
+        repeat = true;
+        break;
+      }
+    }
+    if (!repeat) support.push_back(c);
+  }
+  if (support.empty()) return {{}, true};
+  auto check = problem.SolveValue(std::span<const Constraint>(support));
+  if (problem.CompareValues(check, value) != 0) {
+    return {std::move(support), false};
+  }
+  return {GreedyMinimizeBasis(problem, std::move(support), value), true};
+}
+
+/// Why GrowByMostViolated stopped.
+enum class GrowStop {
+  kInfeasible,  // f(T) is infeasible.
+  kNoViolator,  // Nothing in the input is violated: f(T) = f(input).
+  kCapped,      // The step cap ran out (a numerical-safety backstop).
+};
+
+template <LpTypeProblem P>
+struct GrowResult {
+  typename P::Value value;  // f(T) for the final T.
+  std::vector<typename P::Constraint> t;
+  GrowStop stop;
+};
+
+/// Incremental repair: grows T from the empty set by the most violated
+/// input constraint, the one of least `slack(f(T), c)` below `threshold`
+/// (the first on ties), until f(T) compares equal to `infeasible`, nothing
+/// is below `threshold`, or `cap` + 1 constraints have been appended. Each
+/// appended constraint strictly increases f(T), so the cap is only a
+/// backstop against numerical cycling.
+template <LpTypeProblem P, typename Slack>
+GrowResult<P> GrowByMostViolated(
+    const P& problem, std::span<const typename P::Constraint> constraints,
+    const typename P::Value& infeasible, size_t cap, double threshold,
+    Slack slack) {
+  using Constraint = typename P::Constraint;
+  std::vector<Constraint> t;
+  for (size_t step = 0;; ++step) {
+    auto value = problem.SolveValue(std::span<const Constraint>(t));
+    if (step > cap) return {std::move(value), std::move(t), GrowStop::kCapped};
+    if (problem.CompareValues(value, infeasible) == 0) {
+      return {std::move(value), std::move(t), GrowStop::kInfeasible};
+    }
+    double worst = threshold;
+    size_t worst_idx = constraints.size();
+    for (size_t i = 0; i < constraints.size(); ++i) {
+      const double s = slack(value, constraints[i]);
+      if (s < worst) {
+        worst = s;
+        worst_idx = i;
+      }
+    }
+    if (worst_idx == constraints.size()) {
+      return {std::move(value), std::move(t), GrowStop::kNoViolator};
+    }
+    t.push_back(constraints[worst_idx]);
+  }
+}
+
+/// Basis by repair, for problems that rebuild infeasible inputs and
+/// drifted support sets by growth: GrowByMostViolated, then
+///  - infeasible: T pruned to a minimal infeasible core;
+///  - no violator: T's members with `in_support` (repeats kept), minimised,
+///    or T itself if they do not reproduce f(T);
+///  - capped: T as grown.
+template <LpTypeProblem P, typename Slack, typename InSupport>
+BasisResult<typename P::Value, typename P::Constraint> RepairBasis(
+    const P& problem, std::span<const typename P::Constraint> constraints,
+    const typename P::Value& infeasible, size_t cap, double threshold,
+    Slack slack, InSupport in_support) {
+  using Constraint = typename P::Constraint;
+  GrowResult<P> g = GrowByMostViolated(problem, constraints, infeasible, cap,
+                                       threshold, slack);
+  switch (g.stop) {
+    case GrowStop::kInfeasible:
+      return {std::move(g.value),
+              GreedyMinimizeBasis(problem, std::move(g.t), infeasible)};
+    case GrowStop::kCapped:
+      LPLOW_LOG(kWarning) << "basis repair cap reached";
+      return {std::move(g.value), std::move(g.t)};
+    case GrowStop::kNoViolator:
+      break;
+  }
+  // T is small and each member was appended as a violator: keep repeats.
+  SupportBasis<P> s = MinimizeSupport(
+      problem, g.value, std::span<const Constraint>(g.t), in_support,
+      [](const Constraint&, const Constraint&) { return false; });
+  if (!s.minimal) return {std::move(g.value), std::move(g.t)};
+  return {std::move(g.value), std::move(s.basis)};
 }
 
 }  // namespace lplow

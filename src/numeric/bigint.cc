@@ -360,7 +360,8 @@ int64_t BigInt::ToInt64() const {
   uint64_t mag = 0;
   if (limbs_.size() >= 1) mag = limbs_[0];
   if (limbs_.size() == 2) mag |= static_cast<uint64_t>(limbs_[1]) << 32;
-  return negative_ ? -static_cast<int64_t>(mag) : static_cast<int64_t>(mag);
+  // Negate in uint64_t: -2^63 has no positive int64_t counterpart.
+  return static_cast<int64_t>(negative_ ? 0 - mag : mag);
 }
 
 size_t BigInt::BitLength() const {

@@ -78,95 +78,34 @@ ChebyshevCenter::Value ChebyshevCenter::SolveValue(
 }
 
 BasisResult<ChebyshevCenter::Value, ChebyshevCenter::Constraint>
-ChebyshevCenter::RepairLoop(std::vector<Constraint> t,
-                            std::span<const Constraint> constraints) const {
-  // Each appended constraint strictly increases f(T); the cap is a
-  // numerical-safety backstop (same structure as LinearProgram::RepairLoop).
-  const size_t cap = constraints.size() + 2 * dim_ + 6;
-  for (size_t step = 0; step <= cap; ++step) {
-    Value value = SolveValue(std::span<const Constraint>(t));
-    if (!value.feasible) {
-      // Prune T to a small infeasible core.
-      size_t i = 0;
-      while (i < t.size()) {
-        std::vector<Constraint> without;
-        without.reserve(t.size() - 1);
-        for (size_t j = 0; j < t.size(); ++j) {
-          if (j != i) without.push_back(t[j]);
-        }
-        if (!SolveValue(std::span<const Constraint>(without)).feasible) {
-          t = std::move(without);
-        } else {
-          ++i;
-        }
-      }
-      return {value, std::move(t)};
-    }
-    double worst = -config_.violation_tol;
-    size_t worst_idx = constraints.size();
-    for (size_t i = 0; i < constraints.size(); ++i) {
-      double slack = LiftedSlack(value, constraints[i]);
-      double scale = std::max(1.0, std::fabs(constraints[i].b));
-      if (slack / scale < worst) {
-        worst = slack / scale;
-        worst_idx = i;
-      }
-    }
-    if (worst_idx == constraints.size()) {
-      std::vector<Constraint> tight;
-      for (const Constraint& h : t) {
-        if (std::fabs(LiftedSlack(value, h)) <=
-            config_.tight_tol * std::max(1.0, std::fabs(h.b))) {
-          tight.push_back(h);
-        }
-      }
-      if (tight.empty()) return {value, {}};
-      Value check = SolveValue(std::span<const Constraint>(tight));
-      if (CompareValues(check, value) != 0) {
-        return {value, std::move(t)};
-      }
-      std::vector<Constraint> basis = GreedyMinimizeBasis(*this, tight, value);
-      return {value, std::move(basis)};
-    }
-    t.push_back(constraints[worst_idx]);
-  }
-  LPLOW_LOG(kWarning) << "ChebyshevCenter::RepairLoop cap reached";
-  return {SolveValue(std::span<const Constraint>(t)), std::move(t)};
-}
-
-BasisResult<ChebyshevCenter::Value, ChebyshevCenter::Constraint>
 ChebyshevCenter::SolveBasis(std::span<const Constraint> constraints) const {
+  auto tight = [this](const Value& v, const Constraint& h) {
+    return std::fabs(LiftedSlack(v, h)) <=
+           config_.tight_tol * std::max(1.0, std::fabs(h.b));
+  };
+  Value infeasible;
+  infeasible.feasible = false;
+  // Grow a basis by lifted slack relative to max(1, |b|).
+  auto repair = [&] {
+    return RepairBasis(
+        *this, constraints, infeasible,
+        constraints.size() + 2 * dim_ + 6, -config_.violation_tol,
+        [this](const Value& v, const Constraint& h) {
+          return LiftedSlack(v, h) / std::max(1.0, std::fabs(h.b));
+        },
+        tight);
+  };
   Value value = SolveValue(constraints);
   if (constraints.empty()) return {value, {}};
-  if (!value.feasible) return RepairLoop({}, constraints);
-
-  // Tight lifted constraints at the optimum (dedup exact repeats so the
-  // greedy prune stays cheap on with-replacement samples).
-  std::vector<Constraint> tight;
-  for (const Constraint& h : constraints) {
-    if (std::fabs(LiftedSlack(value, h)) <=
-        config_.tight_tol * std::max(1.0, std::fabs(h.b))) {
-      bool dup = false;
-      for (const Constraint& g : tight) {
-        if (g.b == h.b && g.a.ApproxEquals(h.a, 0.0)) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) tight.push_back(h);
-    }
-  }
-  if (tight.empty()) {
-    // Ball determined by the solver box alone.
-    return {value, {}};
-  }
-  Value check = SolveValue(std::span<const Constraint>(tight));
-  if (CompareValues(check, value) != 0) {
-    // Degenerate/numerically drifted: rebuild by incremental repair.
-    return RepairLoop({}, constraints);
-  }
-  std::vector<Constraint> basis = GreedyMinimizeBasis(*this, tight, value);
-  return {value, std::move(basis)};
+  if (!value.feasible) return repair();
+  // An empty tight set means a ball determined by the solver box alone.
+  SupportBasis<ChebyshevCenter> s = MinimizeSupport(
+      *this, value, constraints, tight,
+      [](const Constraint& g, const Constraint& h) {
+        return g.b == h.b && g.a.ApproxEquals(h.a, 0.0);
+      });
+  if (!s.minimal) return repair();  // Degenerate or numerically drifted.
+  return {value, std::move(s.basis)};
 }
 
 }  // namespace lplow

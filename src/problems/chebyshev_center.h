@@ -78,8 +78,6 @@ class ChebyshevCenter {
   /// Signed slack of the lifted constraint at (center, radius), accumulated
   /// in exactly the kHalfspace kernel's order.
   double LiftedSlack(const Value& v, const Constraint& c) const;
-  BasisResult<Value, Constraint> RepairLoop(
-      std::vector<Constraint> t, std::span<const Constraint> constraints) const;
   Value ValueFromSolution(const LpSolution& s) const;
 
   size_t dim_;

@@ -100,52 +100,29 @@ EnclosingAnnulus::SolveBasis(std::span<const Constraint> constraints) const {
   if (constraints.empty()) return {value, {}};
   if (!value.feasible) {
     // Pathological (points beyond the solver box): prune to a small core.
-    std::vector<Constraint> t(constraints.begin(), constraints.end());
-    size_t i = 0;
-    while (i < t.size()) {
-      std::vector<Constraint> without;
-      without.reserve(t.size() - 1);
-      for (size_t j = 0; j < t.size(); ++j) {
-        if (j != i) without.push_back(t[j]);
-      }
-      if (!SolveValue(std::span<const Constraint>(without)).feasible) {
-        t = std::move(without);
-      } else {
-        ++i;
-      }
-    }
-    return {value, std::move(t)};
+    return {value, GreedyMinimizeBasis(
+                       *this,
+                       std::vector<Constraint>(constraints.begin(),
+                                               constraints.end()),
+                       value)};
   }
-
-  // Support points: shell value within tight_tol of either bound.
-  const double scale =
-      std::max({1.0, std::fabs(value.u), std::fabs(value.l)});
-  std::vector<Constraint> support;
-  for (const Constraint& p : constraints) {
-    const double s = ShellValue(value, p);
-    if (s >= value.u - config_.tight_tol * scale ||
-        s <= value.l + config_.tight_tol * scale) {
-      bool dup = false;
-      for (const Constraint& q : support) {
-        if (q.ApproxEquals(p, 0.0)) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) support.push_back(p);
-    }
-  }
-  if (support.empty()) {
-    // Unreachable for nonempty input (both bounds are attained); keep a
-    // valid basis anyway.
-    return {value, {constraints[0]}};
-  }
-  Value check = SolveValue(std::span<const Constraint>(support));
-  if (CompareValues(check, value) != 0) {
-    return {value, std::move(support)};
-  }
-  std::vector<Constraint> basis = GreedyMinimizeBasis(*this, support, value);
-  return {value, std::move(basis)};
+  // Support points: shell value within tight_tol of either bound. If they
+  // do not reproduce the value, they are kept as the basis.
+  SupportBasis<EnclosingAnnulus> s = MinimizeSupport(
+      *this, value, constraints,
+      [this](const Value& v, const Constraint& p) {
+        const double scale = std::max({1.0, std::fabs(v.u), std::fabs(v.l)});
+        const double shell = ShellValue(v, p);
+        return shell >= v.u - config_.tight_tol * scale ||
+               shell <= v.l + config_.tight_tol * scale;
+      },
+      [](const Constraint& q, const Constraint& p) {
+        return q.ApproxEquals(p, 0.0);
+      });
+  // An empty support is unreachable for nonempty input (both bounds are
+  // attained); keep a valid basis anyway.
+  if (s.basis.empty()) return {value, {constraints[0]}};
+  return {value, std::move(s.basis)};
 }
 
 void EnclosingAnnulus::SerializeConstraint(const Constraint& c,

@@ -49,72 +49,6 @@ bool LinearProgram::Violates(const Value& value, const Constraint& c) const {
                      config_.violation_tol * std::max(1.0, std::fabs(c.b)));
 }
 
-BasisResult<LinearProgram::Value, LinearProgram::Constraint>
-LinearProgram::RepairLoop(std::vector<Constraint> t,
-                          std::span<const Constraint> constraints) const {
-  // Each appended constraint strictly increases f(T), so the loop
-  // terminates; the cap is a numerical-safety backstop.
-  const size_t cap = constraints.size() + 2 * dim_ + 4;
-  for (size_t step = 0; step <= cap; ++step) {
-    LpSolution sol = solver_.Solve(t, objective_);
-    if (!sol.optimal()) {
-      // T is infeasible: prune it to a small core (|T| stays small, so the
-      // quadratic greedy is cheap) and report Infeasible.
-      size_t i = 0;
-      while (i < t.size()) {
-        std::vector<Constraint> without;
-        without.reserve(t.size() - 1);
-        for (size_t j = 0; j < t.size(); ++j) {
-          if (j != i) without.push_back(t[j]);
-        }
-        if (!solver_.Solve(without, objective_).optimal()) {
-          t = std::move(without);
-        } else {
-          ++i;
-        }
-      }
-      Value v;
-      v.feasible = false;
-      return {v, std::move(t)};
-    }
-    // Most-violated constraint in the full set.
-    double worst = -config_.violation_tol;
-    size_t worst_idx = constraints.size();
-    for (size_t i = 0; i < constraints.size(); ++i) {
-      double slack = constraints[i].Slack(sol.point);
-      if (slack < worst) {
-        worst = slack;
-        worst_idx = i;
-      }
-    }
-    if (worst_idx == constraints.size()) {
-      // Nothing violates: f(T) = f(A). Trim T to the tight constraints and
-      // prune.
-      Value value = ValueFromSolution(sol);
-      std::vector<Constraint> tight;
-      for (const Constraint& h : t) {
-        if (std::fabs(h.Slack(sol.point)) <=
-            config_.tight_tol * std::max(1.0, std::fabs(h.b))) {
-          tight.push_back(h);
-        }
-      }
-      if (tight.empty()) return {value, {}};
-      // Verify the tight set reproduces the value before pruning; fall back
-      // to T itself if numerical drift broke the equivalence.
-      LpSolution check = solver_.Solve(tight, objective_);
-      if (CompareValues(ValueFromSolution(check), value) != 0) {
-        return {value, std::move(t)};
-      }
-      std::vector<Constraint> basis = GreedyMinimizeBasis(*this, tight, value);
-      return {value, std::move(basis)};
-    }
-    t.push_back(constraints[worst_idx]);
-  }
-  LPLOW_LOG(kWarning) << "LinearProgram::RepairLoop cap reached";
-  LpSolution sol = solver_.Solve(t, objective_);
-  return {ValueFromSolution(sol), std::move(t)};
-}
-
 LinearProgram::Value LinearProgram::SolveValue(
     std::span<const Constraint> constraints) const {
   return ValueFromSolution(solver_.Solve(constraints, objective_));
@@ -122,42 +56,33 @@ LinearProgram::Value LinearProgram::SolveValue(
 
 BasisResult<LinearProgram::Value, LinearProgram::Constraint>
 LinearProgram::SolveBasis(std::span<const Constraint> constraints) const {
-  LpSolution sol = solver_.Solve(constraints, objective_);
-  if (constraints.empty()) return {ValueFromSolution(sol), {}};
-  if (!sol.optimal()) {
-    // Infeasible input: grow a core incrementally (cheaper than pruning the
-    // full set).
-    return RepairLoop({}, constraints);
-  }
-  Value value = ValueFromSolution(sol);
-  // Tight constraints at the optimum (dedup exact repeats to keep the
-  // pruning cheap on with-replacement samples). The threshold scales with
-  // the constraint magnitude: slack drift is relative.
-  std::vector<Constraint> tight;
-  for (const Constraint& h : constraints) {
-    if (std::fabs(h.Slack(sol.point)) <=
-        config_.tight_tol * std::max(1.0, std::fabs(h.b))) {
-      bool dup = false;
-      for (const Constraint& g : tight) {
-        if (g.b == h.b && g.a.ApproxEquals(h.a, 0.0)) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) tight.push_back(h);
-    }
-  }
-  if (tight.empty()) {
-    // Optimum interior to all sampled constraints (box-determined).
-    return {value, {}};
-  }
-  LpSolution check = solver_.Solve(tight, objective_);
-  if (CompareValues(ValueFromSolution(check), value) != 0) {
-    // Degenerate/numerically drifted: rebuild by incremental repair.
-    return RepairLoop({}, constraints);
-  }
-  std::vector<Constraint> basis = GreedyMinimizeBasis(*this, tight, value);
-  return {value, std::move(basis)};
+  // Tight at the optimum: the threshold scales with the constraint
+  // magnitude, since slack drift is relative.
+  auto tight = [this](const Value& v, const Constraint& h) {
+    return std::fabs(h.Slack(v.point)) <=
+           config_.tight_tol * std::max(1.0, std::fabs(h.b));
+  };
+  Value infeasible;
+  infeasible.feasible = false;
+  // Grow a basis by raw slack (cheaper than pruning the full set).
+  auto repair = [&] {
+    return RepairBasis(
+        *this, constraints, infeasible,
+        constraints.size() + 2 * dim_ + 4, -config_.violation_tol,
+        [](const Value& v, const Constraint& h) { return h.Slack(v.point); },
+        tight);
+  };
+  Value value = SolveValue(constraints);
+  if (constraints.empty()) return {value, {}};
+  if (!value.feasible) return repair();
+  // An empty tight set means a box-determined optimum: basis {}.
+  SupportBasis<LinearProgram> s = MinimizeSupport(
+      *this, value, constraints, tight,
+      [](const Constraint& g, const Constraint& h) {
+        return g.b == h.b && g.a.ApproxEquals(h.a, 0.0);
+      });
+  if (!s.minimal) return repair();  // Degenerate or numerically drifted.
+  return {value, std::move(s.basis)};
 }
 
 }  // namespace lplow

@@ -72,11 +72,6 @@ class LinearProgram {
   const SolverConfig& solver_config() const { return config_; }
 
  private:
-  // Incremental basis repair: grow T by most-violated constraints until
-  // nothing in `constraints` violates f(T). Returns the final value and T.
-  BasisResult<Value, Constraint> RepairLoop(
-      std::vector<Constraint> t, std::span<const Constraint> constraints) const;
-
   Value ValueFromSolution(const LpSolution& s) const;
 
   size_t dim_;

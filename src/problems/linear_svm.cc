@@ -49,83 +49,33 @@ LinearSvm::Value LinearSvm::SolveValue(
 
 BasisResult<LinearSvm::Value, LinearSvm::Constraint> LinearSvm::SolveBasis(
     std::span<const Constraint> constraints) const {
-  if (constraints.empty()) return {Value{}, {}};
-  std::vector<Constraint> pts(constraints.begin(), constraints.end());
-  SvmSolution sol;
-  if (pts.size() <= 12) {
-    sol = solver_.SolveExactSmall(pts);
-  } else {
-    sol = solver_.Solve(pts);
+  Value value = SolveValue(constraints);
+  if (constraints.empty()) return {value, {}};
+  if (!value.separable) {
+    // Grow a witness by least margin (margins below 1 violate; every margin
+    // is 0 against f(empty)), then prune it to a minimal non-separable core.
+    Value non_separable;
+    non_separable.separable = false;
+    GrowResult<LinearSvm> grown = GrowByMostViolated(
+        *this, constraints, non_separable, constraints.size(), 1.0,
+        [](const Value& v, const Constraint& p) {
+          return v.u.dim() == 0 ? 0.0 : p.Z().Dot(v.u);
+        });
+    return {non_separable,
+            GreedyMinimizeBasis(*this, std::move(grown.t), non_separable)};
   }
-
-  if (!sol.separable) {
-    // Infeasible (non-separable) input: grow a small witness set whose
-    // sub-SVM is already non-separable, mirroring LinearProgram's repair.
-    std::vector<Constraint> t;
-    for (size_t step = 0; step <= pts.size(); ++step) {
-      Value tv = SolveValue(std::span<const Constraint>(t));
-      if (!tv.separable) break;
-      // Most-violated constraint w.r.t. the current sub-solution.
-      double worst = 1.0;  // Margins below 1 violate.
-      size_t worst_idx = pts.size();
-      for (size_t i = 0; i < pts.size(); ++i) {
-        double margin = tv.u.dim() == 0 ? 0.0 : pts[i].Z().Dot(tv.u);
-        if (margin < worst) {
-          worst = margin;
-          worst_idx = i;
-        }
-      }
-      if (worst_idx == pts.size()) break;  // Nothing violates (shouldn't).
-      t.push_back(pts[worst_idx]);
-    }
-    Value v;
-    v.separable = false;
-    // Prune the witness set (small) to a minimal non-separable core.
-    size_t i = 0;
-    while (i < t.size()) {
-      std::vector<Constraint> without;
-      for (size_t j = 0; j < t.size(); ++j) {
-        if (j != i) without.push_back(t[j]);
-      }
-      if (!SolveValue(std::span<const Constraint>(without)).separable) {
-        t = std::move(without);
-      } else {
-        ++i;
-      }
-    }
-    return {v, std::move(t)};
-  }
-
-  Value value;
-  value.separable = true;
-  value.norm_squared = sol.norm_squared;
-  value.u = sol.u;
-
-  // Support vectors: margins equal to 1 within tolerance.
-  std::vector<Constraint> support;
-  for (const Constraint& p : pts) {
-    double margin = p.Z().Dot(sol.u);
-    if (margin <= 1.0 + 10 * config_.margin_tol) {
-      bool dup = false;
-      for (const Constraint& q : support) {
-        if (q.label == p.label && q.x.ApproxEquals(p.x, 0.0)) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) support.push_back(p);
-    }
-  }
-  if (support.empty()) return {value, {}};
-  Value check = SolveValue(std::span<const Constraint>(support));
-  if (CompareValues(check, value) != 0) {
-    // Numerical drift: fall back to the full (deduplicated) support set plus
-    // everything — keep the sampled set as the basis, correctness of the
-    // meta-algorithm only needs Violates soundness.
-    return {value, std::move(support)};
-  }
-  std::vector<Constraint> basis = GreedyMinimizeBasis(*this, support, value);
-  return {value, std::move(basis)};
+  // Support vectors: margins equal to 1 within tolerance. If they do not
+  // reproduce the value (numerical drift), they are kept as the basis:
+  // correctness of the meta-algorithm only needs Violates soundness.
+  SupportBasis<LinearSvm> s = MinimizeSupport(
+      *this, value, constraints,
+      [this](const Value& v, const Constraint& p) {
+        return p.Z().Dot(v.u) <= 1.0 + 10 * config_.margin_tol;
+      },
+      [](const Constraint& q, const Constraint& p) {
+        return q.label == p.label && q.x.ApproxEquals(p.x, 0.0);
+      });
+  return {value, std::move(s.basis)};
 }
 
 void LinearSvm::SerializeConstraint(const Constraint& c, BitWriter* w) const {

@@ -89,49 +89,27 @@ LinfRegression::SolveBasis(std::span<const Constraint> constraints) const {
   if (!value.feasible) {
     // Pathological (a target beyond the solver box): prune to a small
     // infeasible core.
-    std::vector<Constraint> t(constraints.begin(), constraints.end());
-    size_t i = 0;
-    while (i < t.size()) {
-      std::vector<Constraint> without;
-      without.reserve(t.size() - 1);
-      for (size_t j = 0; j < t.size(); ++j) {
-        if (j != i) without.push_back(t[j]);
-      }
-      if (!SolveValue(std::span<const Constraint>(without)).feasible) {
-        t = std::move(without);
-      } else {
-        ++i;
-      }
-    }
-    return {value, std::move(t)};
+    return {value, GreedyMinimizeBasis(
+                       *this,
+                       std::vector<Constraint>(constraints.begin(),
+                                               constraints.end()),
+                       value)};
   }
-
-  // Support samples: residual magnitude within tight_tol of the max.
-  std::vector<Constraint> support;
-  for (const Constraint& c : constraints) {
-    if (std::fabs(Residual(value, c)) >=
-        value.t - config_.tight_tol * std::max(1.0, value.t)) {
-      bool dup = false;
-      for (const Constraint& s : support) {
-        if (s.y == c.y && s.x.ApproxEquals(c.x, 0.0)) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) support.push_back(c);
-    }
-  }
-  if (support.empty()) {
-    // Unreachable for nonempty input (the max is attained); keep a valid
-    // basis anyway.
-    return {value, {constraints[0]}};
-  }
-  Value check = SolveValue(std::span<const Constraint>(support));
-  if (CompareValues(check, value) != 0) {
-    return {value, std::move(support)};
-  }
-  std::vector<Constraint> basis = GreedyMinimizeBasis(*this, support, value);
-  return {value, std::move(basis)};
+  // Support samples: residual magnitude within tight_tol of the max. If
+  // they do not reproduce the value, they are kept as the basis.
+  SupportBasis<LinfRegression> s = MinimizeSupport(
+      *this, value, constraints,
+      [this](const Value& v, const Constraint& c) {
+        return std::fabs(Residual(v, c)) >=
+               v.t - config_.tight_tol * std::max(1.0, v.t);
+      },
+      [](const Constraint& q, const Constraint& c) {
+        return q.y == c.y && q.x.ApproxEquals(c.x, 0.0);
+      });
+  // An empty support is unreachable for nonempty input (the max is
+  // attained); keep a valid basis anyway.
+  if (s.basis.empty()) return {value, {constraints[0]}};
+  return {value, std::move(s.basis)};
 }
 
 void LinfRegression::SerializeConstraint(const Constraint& c,

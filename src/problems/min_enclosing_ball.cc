@@ -39,33 +39,20 @@ BasisResult<MinEnclosingBall::Value, MinEnclosingBall::Constraint>
 MinEnclosingBall::SolveBasis(std::span<const Constraint> constraints) const {
   Value value = SolveValue(constraints);
   if (constraints.empty()) return {value, {}};
-
-  // Support points lie on the boundary.
-  std::vector<Constraint> support;
-  for (const Constraint& p : constraints) {
-    double dist = (p - value.ball.center).Norm();
-    if (std::fabs(dist - value.ball.radius) <=
-        config_.contain_tol * std::max(1.0, value.ball.radius) * 10) {
-      bool dup = false;
-      for (const Constraint& q : support) {
-        if (q.ApproxEquals(p, 0.0)) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) support.push_back(p);
-    }
-  }
-  if (support.empty()) {
-    // Degenerate single-point input.
-    return {value, {constraints[0]}};
-  }
-  Value check = SolveValue(std::span<const Constraint>(support));
-  if (CompareValues(check, value) != 0) {
-    return {value, std::move(support)};
-  }
-  std::vector<Constraint> basis = GreedyMinimizeBasis(*this, support, value);
-  return {value, std::move(basis)};
+  // Support points lie on the boundary. If they do not reproduce the
+  // value, they are kept as the basis.
+  SupportBasis<MinEnclosingBall> s = MinimizeSupport(
+      *this, value, constraints,
+      [this](const Value& v, const Constraint& p) {
+        const double dist = (p - v.ball.center).Norm();
+        return std::fabs(dist - v.ball.radius) <=
+               config_.contain_tol * std::max(1.0, v.ball.radius) * 10;
+      },
+      [](const Constraint& q, const Constraint& p) {
+        return q.ApproxEquals(p, 0.0);
+      });
+  if (s.basis.empty()) return {value, {constraints[0]}};  // Degenerate input.
+  return {value, std::move(s.basis)};
 }
 
 void MinEnclosingBall::SerializeConstraint(const Constraint& c,

@@ -543,6 +543,14 @@ Result<EnclosingAnnulus::Value> ProblemCodec<EnclosingAnnulus>::DecodeValue(
 
 namespace {
 
+// Coordinate count of a decoded constraint. The solvers index every
+// constraint up to the problem's dimension, so a mismatch is refused at
+// decode time.
+size_t ConstraintDim(const Halfspace& h) { return h.dim(); }
+size_t ConstraintDim(const SvmPoint& p) { return p.x.dim(); }
+size_t ConstraintDim(const Vec& p) { return p.dim(); }
+size_t ConstraintDim(const RegressionPoint& p) { return p.x.dim(); }
+
 /// Decodes problem + constraints from `r` (positioned after the request
 /// prefix), solves, and encodes the response — each stage under its own
 /// daemon span when a recorder is attached. The one template the daemon's
@@ -566,6 +574,10 @@ Result<std::vector<uint8_t>> ServeTyped(BitReader* r, uint64_t job_id,
     constraints.reserve(static_cast<size_t>(count));
     for (uint64_t i = 0; i < count; ++i) {
       LPLOW_ASSIGN_OR_RETURN(auto c, problem->DeserializeConstraint(r));
+      if (ConstraintDim(c) != problem->dim()) {
+        return Status::InvalidArgument(
+            "constraint dimension does not match the problem");
+      }
       constraints.push_back(std::move(c));
     }
     if (!r->exhausted()) {

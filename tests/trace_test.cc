@@ -41,21 +41,37 @@ namespace {
 std::atomic<size_t> g_new_calls{0};
 std::atomic<bool> g_count_news{false};
 
-void* CountingAlloc(std::size_t size) {
+void* CountingAlloc(std::size_t size) noexcept {
   if (g_count_news.load(std::memory_order_relaxed)) {
     g_new_calls.fetch_add(1, std::memory_order_relaxed);
   }
-  if (void* p = std::malloc(size > 0 ? size : 1)) return p;
+  return std::malloc(size > 0 ? size : 1);
+}
+
+void* CountingAllocOrThrow(std::size_t size) {
+  if (void* p = CountingAlloc(size)) return p;
   throw std::bad_alloc();
 }
 }  // namespace
 
-void* operator new(std::size_t size) { return CountingAlloc(size); }
-void* operator new[](std::size_t size) { return CountingAlloc(size); }
+// The nothrow forms are replaced too (std::stable_sort's temporary buffer
+// uses them): every block freed here must come from these news.
+void* operator new(std::size_t size) { return CountingAllocOrThrow(size); }
+void* operator new[](std::size_t size) { return CountingAllocOrThrow(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountingAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountingAlloc(size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace lplow {
 namespace {

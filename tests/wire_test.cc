@@ -516,6 +516,67 @@ TEST(WireAdversarialTest, RejectsZeroAndOversizedProblemDimension) {
   }
 }
 
+// A decoded constraint whose dimension differs from the problem's must be
+// refused at decode time with InvalidArgument: the solvers index every
+// constraint up to the problem's dimension (and the LP flattening CHECKs
+// it), so a short one is an out-of-bounds read or a daemon abort. Each kind
+// is served one request with a constraint one coordinate short and one with
+// a constraint one coordinate long, each in the middle of valid ones.
+template <typename P>
+void ExpectDimensionMismatchRejected(
+    const P& problem, const std::vector<typename P::Constraint>& valid,
+    const typename P::Constraint& short_one,
+    const typename P::Constraint& long_one) {
+  for (const auto* bad : {&short_one, &long_one}) {
+    std::vector<typename P::Constraint> sample = valid;
+    sample.insert(sample.begin() + 1, *bad);
+    auto served = wire::ServeSolveRequestPayload(
+        wire::EncodeSolveRequestPayload<P>(
+            7, problem, std::span<const typename P::Constraint>(sample)));
+    ASSERT_FALSE(served.ok()) << "wrong-dimension constraint was served";
+    EXPECT_EQ(served.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(WireAdversarialTest, RejectsLpConstraintOfWrongDimension) {
+  auto c = testing_util::MakeFeasibleLpCase(8, 3, 3);
+  ExpectDimensionMismatchRejected(c.problem, c.constraints,
+                                  Halfspace(Vec{1, 1}, 1.0),
+                                  Halfspace(Vec{1, 1, 1, 1}, 1.0));
+}
+
+TEST(WireAdversarialTest, RejectsSvmConstraintOfWrongDimension) {
+  auto c = testing_util::MakeSeparableSvmCase(8, 3, 0.5, 3);
+  ExpectDimensionMismatchRejected(c.problem, c.points, SvmPoint{Vec{1, 1}, 1},
+                                  SvmPoint{Vec{1, 1, 1, 1}, -1});
+}
+
+TEST(WireAdversarialTest, RejectsMebConstraintOfWrongDimension) {
+  auto c = testing_util::MakeGaussianMebCase(8, 3, 3);
+  ExpectDimensionMismatchRejected(c.problem, c.points, Vec{1, 1},
+                                  Vec{1, 1, 1, 1});
+}
+
+TEST(WireAdversarialTest, RejectsChebyshevConstraintOfWrongDimension) {
+  auto c = testing_util::MakeChebyshevCase(8, 3, 3);
+  ExpectDimensionMismatchRejected(c.problem, c.constraints,
+                                  Halfspace(Vec{1, 1}, 1.0),
+                                  Halfspace(Vec{1, 1, 1, 1}, 1.0));
+}
+
+TEST(WireAdversarialTest, RejectsLinfConstraintOfWrongDimension) {
+  auto c = testing_util::MakeLinfRegressionCase(8, 3, 3);
+  ExpectDimensionMismatchRejected(c.problem, c.points,
+                                  RegressionPoint{Vec{1, 1}, 1.0},
+                                  RegressionPoint{Vec{1, 1, 1, 1}, 1.0});
+}
+
+TEST(WireAdversarialTest, RejectsAnnulusConstraintOfWrongDimension) {
+  auto c = testing_util::MakeAnnulusCase(8, 3, 3);
+  ExpectDimensionMismatchRejected(c.problem, c.points, Vec{1, 1},
+                                  Vec{1, 1, 1, 1});
+}
+
 TEST(WireAdversarialTest, RejectsHostileBasisCountInResponse) {
   auto c = testing_util::MakeFeasibleLpCase(8, 2, 3);
   auto local = c.problem.SolveBasis(
